@@ -98,4 +98,12 @@ cargo run --release -p xt-bench --bin servebench -- \
   --seconds 3 --rate 820 --swap-every-ms 250 --max-wait-us 50 \
   --trials 5 --gate-qps 50000 --gate-p99-ms 2
 
+echo "== perfbench smoke: impala-2m end to end with the benchmark's correctness checks =="
+# A short run of the repository benchmark's big-rollout workload. perfbench
+# exits non-zero if any of its checks fails: no dropped messages, the learner
+# trained and its parameters advanced, every bench-side send delivered, and
+# the object store empty at exit.
+cargo run --release --offline --manifest-path perfbench/Cargo.toml --bin perfbench -- \
+  --workload impala-2m --seed 1 --seconds 5 --trace 0
+
 echo "ci.sh: all green"

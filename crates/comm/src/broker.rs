@@ -403,6 +403,8 @@ impl Broker {
         // latency-SLO bound: a millisecond-budget query must never queue
         // behind a back-pressured rollout stream, and serving replicas bound
         // their own admission with explicit sheds, so the lane stays finite.
+        // Credits are what unblock a waiting producer: queued behind the
+        // very backlog they drain, they would stall the flow they control.
         let stored_len = body.len() as u64;
         self.shared.wire_bytes[header.compression.discriminant() as usize].add(stored_len);
         if header.kind == xingtian_message::MessageKind::Parameters {
@@ -417,7 +419,8 @@ impl Broker {
             | xingtian_message::MessageKind::ParamAck
             | xingtian_message::MessageKind::Parameters
             | xingtian_message::MessageKind::InferRequest
-            | xingtian_message::MessageKind::InferReply => {
+            | xingtian_message::MessageKind::InferReply
+            | xingtian_message::MessageKind::Credit => {
                 self.shared.store.insert_priority(body, plan.fanout())
             }
             _ => self.shared.store.insert(body, plan.fanout()),

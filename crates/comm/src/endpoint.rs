@@ -284,10 +284,14 @@ impl Endpoint {
         self.recv_buf.len()
     }
 
-    /// Messages staged for sending but not yet handed to the broker. Producers
-    /// can use this for flow control when the channel is congested.
+    /// Messages staged for sending but not yet handed to the broker.
     pub fn send_backlog(&self) -> usize {
         self.send_buf.len()
+    }
+
+    /// True once the receive side is closed: nothing will arrive anymore.
+    pub fn is_closed(&self) -> bool {
+        self.recv_buf.is_closed()
     }
 
     /// The telemetry handle shared with this endpoint's broker. Disabled

@@ -62,6 +62,7 @@
 
 pub mod broker;
 pub mod buffer;
+pub mod credit;
 pub mod endpoint;
 pub mod inject;
 pub mod pool;
@@ -72,6 +73,7 @@ pub mod store;
 
 pub use broker::{connect_brokers, Broker};
 pub use buffer::Buffer;
+pub use credit::{CreditLedger, CreditWindow};
 pub use endpoint::Endpoint;
 pub use inject::{InjectDecision, InjectionStats, RouteInjector};
 pub use pool::WorkPool;

@@ -91,6 +91,7 @@ pub struct ObjectStore {
     /// gate. The elastic supervisor polls this as its backpressure signal.
     data_bytes: AtomicUsize,
     peak_bytes: AtomicUsize,
+    peak_data_bytes: AtomicUsize,
     resident: AtomicUsize,
     inserted: AtomicU64,
 }
@@ -125,6 +126,7 @@ impl ObjectStore {
             live_bytes: AtomicUsize::new(0),
             data_bytes: AtomicUsize::new(0),
             peak_bytes: AtomicUsize::new(0),
+            peak_data_bytes: AtomicUsize::new(0),
             resident: AtomicUsize::new(0),
             inserted: AtomicU64::new(0),
         }
@@ -183,6 +185,7 @@ impl ObjectStore {
             if wait_for_capacity {
                 gate.data += len;
                 self.data_bytes.store(gate.data, Ordering::Relaxed);
+                self.peak_data_bytes.fetch_max(gate.data, Ordering::Relaxed);
             }
             self.live_bytes.store(gate.live, Ordering::Relaxed);
             self.peak_bytes.fetch_max(gate.live, Ordering::Relaxed);
@@ -296,6 +299,12 @@ impl ObjectStore {
         self.peak_bytes.load(Ordering::Relaxed)
     }
 
+    /// High-water mark of gate-admitted (data-plane) resident bytes: the
+    /// most rollout payload the store ever held at once.
+    pub fn peak_data_bytes(&self) -> usize {
+        self.peak_data_bytes.load(Ordering::Relaxed)
+    }
+
     /// Fraction of capacity occupied by resident bodies. This is the
     /// channel's back-pressure signal: sustained occupancy near 1.0 means
     /// producers are stalling in `insert` waiting for consumers. Oversized
@@ -392,6 +401,11 @@ mod tests {
         assert_eq!(s.live_bytes(), 0);
         assert_eq!(s.peak_bytes(), 150, "peak is sticky");
         assert_eq!(s.inserted(), 2);
+        // Priority-lane bodies count toward the overall peak only.
+        let p = s.insert_priority(Bytes::from(vec![0u8; 500]), 1);
+        s.fetch(p);
+        assert_eq!(s.peak_bytes(), 500);
+        assert_eq!(s.peak_data_bytes(), 150);
     }
 
     #[test]

@@ -107,9 +107,29 @@ fn large_blob_compression_does_not_stall_small_messages() {
     // compression offload thread, the large body detours through the broker's
     // offload queue while small messages flow straight to the store — so the
     // 100 small messages sent *after* the blob must overtake it.
-    let broker = Broker::new(0, Cluster::single(), CommConfig::default());
+    //
+    // The order is pinned by events, not by how long compression takes: the
+    // blob queues in the offload behind a plug (a compressible rollout, so it
+    // takes the offload too) that cannot enter the store until the test
+    // releases it. A parked body fills the store meanwhile: it is addressed to
+    // a sink whose bounded receive buffer is kept full, so the sink's receiver
+    // thread never fetches it.
+    const PARKED: usize = 64 * 1024;
+    let config = CommConfig::default().with_store_capacity(PARKED + 256);
+    let sink_capacity = config.endpoint_recv_capacity.expect("bounded workhorse receive buffers");
+    let broker = Broker::new(0, Cluster::single(), config);
     let explorer = broker.endpoint(ProcessId::explorer(0));
     let learner = broker.endpoint(ProcessId::learner(0));
+    let sink = broker.endpoint(ProcessId::explorer(1));
+
+    let to_sink = |body: Bytes| explorer.send_to(vec![ProcessId::explorer(1)], MessageKind::Rollout, body);
+    // One more than the sink buffers: its receiver thread holds the last.
+    for i in 0..=sink_capacity {
+        to_sink(Bytes::from(vec![i as u8]));
+    }
+    to_sink(Bytes::from(vec![0u8; PARKED]));
+    to_sink(compressible_payload(2 * 1024 * 1024));
+    let sunk = sink_capacity + 3;
 
     let blob = compressible_payload(32 * 1024 * 1024);
     explorer.send_to(vec![ProcessId::learner(0)], MessageKind::Parameters, blob.clone());
@@ -120,6 +140,12 @@ fn large_blob_compression_does_not_stall_small_messages() {
     let mut blob_rank = None;
     let mut smalls = 0usize;
     for rank in 0..101usize {
+        if smalls == 100 {
+            // Every small message is in: release the plug, and the blob.
+            for _ in 0..sunk {
+                sink.recv_timeout(Duration::from_secs(60)).expect("sink drains");
+            }
+        }
         let m = learner.recv_timeout(Duration::from_secs(60)).expect("all messages delivered");
         match m.header.kind {
             MessageKind::Parameters => {
@@ -131,15 +157,15 @@ fn large_blob_compression_does_not_stall_small_messages() {
     }
     assert_eq!(smalls, 100);
     let blob_rank = blob_rank.expect("blob delivered");
-    // The blob takes tens of milliseconds to compress; the smalls take
-    // microseconds each to submit. At least half of them must be delivered
-    // ahead of it (pre-offload, the blob was always delivered at rank 0).
+    // Pre-offload, the blob was always delivered at rank 0, and the small
+    // messages never got past it while the plug held the sender.
     assert!(
         blob_rank >= 50,
         "large blob delivered at rank {blob_rank}; small messages were stalled behind its compression"
     );
     drop(explorer);
     drop(learner);
+    drop(sink);
     broker.shutdown();
 }
 

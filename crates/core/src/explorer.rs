@@ -7,22 +7,27 @@
 //! the instant `rollout_len` steps have accumulated — the sender thread of the
 //! endpoint takes it from there, so transmission overlaps the very next
 //! environment step.
+//!
+//! Flow control is the consumer-credit window of
+//! [`xingtian_comm::credit`]: the explorer builds rollout n+1 while rollout n
+//! is in flight, and sends n+1 once n's consumer has credited it.
 
 use crate::assignment::AssignmentTable;
 use crate::messages::{ControlCommand, ParamAck, StatsMsg};
 use crate::parameters::{IngestOutcome, ParamReceiver};
 use bytes::Bytes;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 use gymlite::{Environment, EpisodeTracker};
 use xingtian_algos::api::{Agent, SyncMode};
 use xingtian_algos::payload::{RolloutBatch, RolloutStep};
-use xingtian_comm::Endpoint;
+use xingtian_comm::{CreditWindow, Endpoint};
 use xingtian_message::codec::{Decode, Encode};
-use xingtian_message::{Header, MessageKind, ProcessId};
+use xingtian_message::{CreditFrame, Header, Message, MessageKind, ProcessId};
 
-/// How many rollout batches an explorer may have staged in its send buffer
-/// before it pauses generation (source-side flow control).
-pub const MAX_INFLIGHT_BATCHES: usize = 4;
+/// How often a lapsed lease whose rollout is still in the send buffer is
+/// looked at again.
+const LEASE_RECHECK: Duration = Duration::from_millis(10);
 
 /// Where an explorer's rollout batches go.
 ///
@@ -92,7 +97,9 @@ impl ExplorerProcess {
         let mut steps: Vec<RolloutStep> = Vec::with_capacity(self.rollout_len);
         let batches_counter = self.endpoint.telemetry().counter("explorer.batches_sent");
         let backpressure_counter = self.endpoint.telemetry().counter("explorer.backpressure_waits");
+        let lease_counter = self.endpoint.telemetry().counter("explorer.credit_leases_lapsed");
         let infer_hist = self.endpoint.telemetry().histogram("learn.infer_ns");
+        let mut window = CreditWindow::new();
         let mut batches_sent = 0u64;
         let mut steps_since_stats = 0u64;
         let mut returns_since_stats: Vec<f32> = Vec::new();
@@ -103,7 +110,7 @@ impl ExplorerProcess {
             // React to everything that has already arrived (parameters,
             // control commands) without blocking.
             while let Some(msg) = self.endpoint.try_recv() {
-                if self.handle_message(&msg.header, &msg.body, &mut params) {
+                if self.handle_message(&msg.header, &msg.body, &mut params, &mut window) {
                     return ExplorerOutcome { tracker, batches_sent };
                 }
             }
@@ -115,7 +122,7 @@ impl ExplorerProcess {
                 probe.pulse();
             }
 
-            let t_act = std::time::Instant::now();
+            let t_act = Instant::now();
             let selection = self.agent.act(&obs);
             infer_hist.record_duration(t_act.elapsed());
             let step = self.env.step(selection.action);
@@ -140,24 +147,18 @@ impl ExplorerProcess {
             obs = if step.done { self.env.reset() } else { step.observation };
 
             if steps.len() >= self.rollout_len {
-                // Flow control: an explorer may run at most a few rollouts
-                // ahead of the channel. Beyond that it would only burn CPU
-                // producing data the saturated learner cannot consume yet
-                // (paper Fig. 11: throughput *plateaus* at saturation). The
-                // wait is idle, and control traffic stays live.
-                if self.endpoint.send_backlog() >= MAX_INFLIGHT_BATCHES {
-                    // One count per stalled rollout, not per spin: the gauge
-                    // the elastic supervisor and the scale sweeps read is
-                    // "how often did generation outpace the channel".
+                // Flow control: the previous rollout must be credited before
+                // this one goes out. Waiting is idle (paper Fig. 11:
+                // throughput *plateaus* at saturation), and parameters and
+                // control stay live meanwhile.
+                if !window.is_open() {
+                    // One count per stalled rollout, not per wake-up: the
+                    // gauge the elastic supervisor and the scale sweeps read
+                    // is "how often did generation outpace consumption".
                     backpressure_counter.inc();
-                }
-                while self.endpoint.send_backlog() >= MAX_INFLIGHT_BATCHES {
-                    while let Some(msg) = self.endpoint.try_recv() {
-                        if self.handle_message(&msg.header, &msg.body, &mut params) {
-                            return ExplorerOutcome { tracker, batches_sent };
-                        }
+                    if self.await_credit(&mut window, &mut params, &lease_counter) {
+                        return ExplorerOutcome { tracker, batches_sent };
                     }
-                    std::thread::sleep(std::time::Duration::from_millis(1));
                 }
                 let sent_version = self.agent.param_version();
                 let batch = RolloutBatch {
@@ -169,11 +170,13 @@ impl ExplorerProcess {
                 // Aggressive push: the message is staged and the workhorse
                 // keeps going; the sender thread transmits concurrently. The
                 // destination is resolved now, not at build time.
-                self.endpoint.send_to(
+                let header = Header::new(
+                    self.endpoint.pid(),
                     vec![self.route.resolve(self.index)],
                     MessageKind::Rollout,
-                    Bytes::from(batch.to_bytes()),
                 );
+                window.on_send(header.id);
+                self.endpoint.send(Message::new(header, Bytes::from(batch.to_bytes())));
                 batches_sent += 1;
                 batches_counter.inc();
                 steps.reserve(self.rollout_len);
@@ -193,7 +196,7 @@ impl ExplorerProcess {
                         let Some(msg) = self.endpoint.recv() else {
                             return ExplorerOutcome { tracker, batches_sent };
                         };
-                        if self.handle_message(&msg.header, &msg.body, &mut params) {
+                        if self.handle_message(&msg.header, &msg.body, &mut params, &mut window) {
                             return ExplorerOutcome { tracker, batches_sent };
                         }
                         if self.agent.param_version() > sent_version {
@@ -205,9 +208,53 @@ impl ExplorerProcess {
         }
     }
 
+    /// Blocks until the outstanding rollout is credited or its lease lapses,
+    /// handling whatever arrives meanwhile. Returns `true` on shutdown.
+    fn await_credit(
+        &mut self,
+        window: &mut CreditWindow,
+        params: &mut ParamReceiver,
+        lease_counter: &xt_telemetry::CounterHandle,
+    ) -> bool {
+        while let Some(deadline) = window.lease_deadline() {
+            let now = Instant::now();
+            if now >= deadline {
+                // A rollout still in this process's send buffer cannot have
+                // been lost: its lease runs on until it has left.
+                if self.endpoint.send_backlog() == 0 {
+                    lease_counter.inc();
+                    window.expire();
+                    return false;
+                }
+            }
+            let wait = deadline.saturating_duration_since(now).max(LEASE_RECHECK);
+            match self.endpoint.recv_timeout(wait) {
+                Some(msg) if self.handle_message(&msg.header, &msg.body, params, window) => return true,
+                None if self.endpoint.is_closed() => return true,
+                _ => {}
+            }
+        }
+        false
+    }
+
     /// Processes one incoming message. Returns `true` on shutdown.
-    fn handle_message(&mut self, header: &Header, body: &Bytes, params: &mut ParamReceiver) -> bool {
+    fn handle_message(
+        &mut self,
+        header: &Header,
+        body: &Bytes,
+        params: &mut ParamReceiver,
+        window: &mut CreditWindow,
+    ) -> bool {
+        if let Some(frame) = &header.credit {
+            window.on_frame(self.index, frame);
+        }
         match header.kind {
+            MessageKind::Credit => {
+                if let Ok(frame) = CreditFrame::from_bytes(body) {
+                    window.on_frame(self.index, &frame);
+                }
+                false
+            }
             MessageKind::Parameters => {
                 match params.ingest(header.compression, body) {
                     IngestOutcome::Applied(version) => {

@@ -14,7 +14,7 @@ use bytes::Bytes;
 use std::time::{Duration, Instant};
 use xingtian_algos::api::Algorithm;
 use xingtian_algos::payload::BatchDecoder;
-use xingtian_comm::{Endpoint, ParamCompression, TransmissionStats};
+use xingtian_comm::{CreditLedger, Endpoint, ParamCompression, TransmissionStats};
 use xingtian_message::codec::{Decode, Encode};
 use xingtian_message::{Header, Message, MessageKind, ProcessId};
 
@@ -71,6 +71,10 @@ impl LearnerProcess {
         // Parameter-plane encoder: ring of delta bases, per-explorer sent
         // versions, error feedback for the quantized modes.
         let mut broadcaster = ParamBroadcaster::new(self.param_compression, self.endpoint.telemetry());
+        // Rollout credits owed to explorers: returned on the post-session
+        // broadcast to the same explorer, or standalone once the learner is
+        // idle.
+        let mut credits = CreditLedger::new();
         // Give the algorithm the endpoint's telemetry so it can publish its
         // internal stage timings (e.g. DQN's `learn.sample_ns`).
         self.algorithm.attach_telemetry(self.endpoint.telemetry());
@@ -80,13 +84,28 @@ impl LearnerProcess {
         // Wait accumulated since the last completed training session.
         let mut waited = Duration::ZERO;
 
+        // Set while training may be owed: the next pass then only looks for
+        // messages instead of blocking. A pass that trained sets it, and so
+        // does a fresh start — a respawned learner may inherit work (a
+        // store-resident replay plane) whose wake-up notice went to its
+        // predecessor.
+        let mut owes_sessions = true;
+
         'outer: loop {
-            // Block for the next message, accounting the blocked time as wait.
+            // Block for the next message, accounting the blocked time as wait;
+            // with sessions still owed, only look.
             let t0 = Instant::now();
-            let Some(msg) = self.endpoint.recv() else { break };
+            let first = if owes_sessions {
+                self.endpoint.try_recv()
+            } else {
+                let Some(msg) = self.endpoint.recv() else { break };
+                Some(msg)
+            };
             waited += t0.elapsed();
-            if self.handle_message(msg.header.kind, &msg.body, &mut decoder, &decode_hist, &mut broadcaster) {
-                break;
+            if let Some(msg) = first {
+                if self.handle_message(&msg, &mut decoder, &decode_hist, &mut broadcaster, &mut credits) {
+                    break;
+                }
             }
             // Drain whatever else has already arrived — data already staged
             // locally costs no wait. The drain is bounded: at saturation every
@@ -100,12 +119,15 @@ impl LearnerProcess {
             while drained < 16 {
                 let Some(extra) = self.endpoint.try_recv() else { break };
                 drained += 1;
-                if self.handle_message(extra.header.kind, &extra.body, &mut decoder, &decode_hist, &mut broadcaster) {
+                if self.handle_message(&extra, &mut decoder, &decode_hist, &mut broadcaster, &mut credits) {
                     break 'outer;
                 }
             }
-            // Train for as long as the algorithm has work.
-            while let Some(report) = {
+            // One training session per pass, then back to the channel: a
+            // learner slower than its explorers (DQN owes a session per
+            // `train_every_inserts` new steps, however fast they arrive) keeps
+            // reading its messages, Shutdown included, while it trains.
+            let trained = {
                 let t = Instant::now();
                 let r = self.algorithm.try_train();
                 if r.is_some() {
@@ -114,7 +136,9 @@ impl LearnerProcess {
                     train_hist.record_duration(dt);
                 }
                 r
-            } {
+            };
+            owes_sessions = trained.is_some();
+            if let Some(report) = trained {
                 train_sessions += 1;
                 steps_consumed += report.steps_consumed as u64;
                 timeline.record(report.steps_consumed as u64);
@@ -141,6 +165,7 @@ impl LearnerProcess {
                         Header::new(self.endpoint.pid(), dst, MessageKind::Parameters)
                             .with_param_version(enc.version);
                     header.compression = enc.compression;
+                    credits.attach(&mut header);
                     self.endpoint.send(Message::new(header, enc.body));
                 }
                 let stats = StatsMsg {
@@ -153,6 +178,10 @@ impl LearnerProcess {
                     MessageKind::Stats,
                     Bytes::from(stats.to_bytes()),
                 );
+            } else {
+                // Idle: everything received has been trained on, so credits
+                // no broadcast carried go out on their own.
+                credits.flush(&self.endpoint);
             }
             // Recycle the step storage of batches the algorithm is done with.
             while let Some(spent) = self.algorithm.take_spent() {
@@ -174,13 +203,14 @@ impl LearnerProcess {
     /// Processes one incoming message. Returns `true` on shutdown.
     fn handle_message(
         &mut self,
-        kind: MessageKind,
-        body: &Bytes,
+        msg: &Message,
         decoder: &mut BatchDecoder,
         decode_hist: &xt_telemetry::HistogramHandle,
         broadcaster: &mut ParamBroadcaster,
+        credits: &mut CreditLedger,
     ) -> bool {
-        match kind {
+        let body = &msg.body;
+        match msg.header.kind {
             MessageKind::ParamAck => {
                 if let Ok(ack) = ParamAck::from_bytes(body) {
                     broadcaster.on_ack(&ack);
@@ -193,11 +223,13 @@ impl LearnerProcess {
                     self.algorithm.on_rollout(batch);
                 }
                 decode_hist.record_duration(t0.elapsed());
+                credits.on_rollout(&msg.header);
                 false
             }
             // Store-resident replay: the shard ingested a batch on our
-            // behalf. Nothing to decode — falling through wakes the training
-            // loop, which samples straight from the shared plane.
+            // behalf (and credited its explorer). Nothing to decode — falling
+            // through wakes the training loop, which samples straight from
+            // the shared plane.
             MessageKind::ReplayNotice => false,
             MessageKind::Control => {
                 matches!(ControlCommand::from_bytes(body), Ok(ControlCommand::Shutdown))

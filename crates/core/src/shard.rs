@@ -49,7 +49,7 @@ use std::time::{Duration, Instant};
 use xingtian_algos::api::Algorithm;
 use xingtian_algos::payload::{BatchDecoder, ParamBlob, RolloutStep};
 use xingtian_algos::{GradBlob, LazyGradConfig, LazyGradGate};
-use xingtian_comm::{Endpoint, ParamCompression, TransmissionStats};
+use xingtian_comm::{CreditLedger, Endpoint, ParamCompression, TransmissionStats};
 use xingtian_message::codec::{Decode, Encode};
 use xingtian_message::{Header, Message, MessageKind, ProcessId, ProcessRole};
 
@@ -91,6 +91,8 @@ struct ShardRun {
     train_sessions: u64,
     train_time: Duration,
     waited: Duration,
+    /// Rollout credits owed to explorers (see [`xingtian_comm::credit`]).
+    credits: CreditLedger,
 }
 
 impl LearnerShardProcess {
@@ -104,6 +106,7 @@ impl LearnerShardProcess {
             train_sessions: 0,
             train_time: Duration::ZERO,
             waited: Duration::ZERO,
+            credits: CreditLedger::new(),
         };
         let run = match self.mode {
             AllreduceMode::Sync => self.run_sync(run),
@@ -155,6 +158,7 @@ impl LearnerShardProcess {
                 let mut header = Header::new(self.endpoint.pid(), dst, MessageKind::Parameters)
                     .with_param_version(enc.version);
                 header.compression = enc.compression;
+                run.credits.attach(&mut header);
                 self.endpoint.send(Message::new(header, enc.body));
             }
         }
@@ -239,6 +243,7 @@ impl LearnerShardProcess {
                         &decode_hist,
                         &mut broadcaster,
                         &mut snapshot_sent,
+                        &mut run.credits,
                     ) {
                         break 'outer;
                     }
@@ -252,6 +257,7 @@ impl LearnerShardProcess {
                     &decode_hist,
                     &mut broadcaster,
                     &mut snapshot_sent,
+                    &mut run.credits,
                 ) {
                     break 'outer;
                 }
@@ -325,6 +331,7 @@ impl LearnerShardProcess {
                     progressed = true;
                 }
             }
+            run.credits.flush(&self.endpoint);
         }
         // Symmetric shutdown: a round this shard has announced (blobs sent)
         // must close on every shard or on none, or final parameters would
@@ -367,6 +374,7 @@ impl LearnerShardProcess {
     }
 
     /// Processes one sync-mode message. Returns `true` on shutdown.
+    #[allow(clippy::too_many_arguments)]
     fn on_sync_message(
         &mut self,
         msg: Message,
@@ -375,6 +383,7 @@ impl LearnerShardProcess {
         decode_hist: &xt_telemetry::HistogramHandle,
         broadcaster: &mut ParamBroadcaster,
         snapshot_sent: &mut HashMap<u32, u64>,
+        credits: &mut CreditLedger,
     ) -> bool {
         match msg.header.kind {
             MessageKind::Rollout => {
@@ -383,6 +392,7 @@ impl LearnerShardProcess {
                     self.algorithm.on_rollout(batch);
                 }
                 decode_hist.record_duration(t0.elapsed());
+                credits.on_rollout(&msg.header);
                 false
             }
             MessageKind::Gradient => {
@@ -482,6 +492,7 @@ impl LearnerShardProcess {
                 &mut prev,
                 &shed_counter,
                 &applied_counter,
+                &mut run.credits,
             ) {
                 break;
             }
@@ -494,6 +505,7 @@ impl LearnerShardProcess {
                     &mut prev,
                     &shed_counter,
                     &applied_counter,
+                    &mut run.credits,
                 ) {
                     break 'outer;
                 }
@@ -533,6 +545,7 @@ impl LearnerShardProcess {
                 let notify = !report.notify.is_empty();
                 self.finish_session(&mut run, &mut broadcaster, report.steps_consumed, notify);
             }
+            run.credits.flush(&self.endpoint);
             while let Some(spent) = self.algorithm.take_spent() {
                 decoder.recycle(spent);
             }
@@ -551,6 +564,7 @@ impl LearnerShardProcess {
         prev: &mut [f32],
         shed_counter: &xt_telemetry::CounterHandle,
         applied_counter: &xt_telemetry::CounterHandle,
+        credits: &mut CreditLedger,
     ) -> bool {
         match msg.header.kind {
             MessageKind::Rollout => {
@@ -559,6 +573,7 @@ impl LearnerShardProcess {
                     self.algorithm.on_rollout(batch);
                 }
                 decode_hist.record_duration(t0.elapsed());
+                credits.on_rollout(&msg.header);
                 false
             }
             MessageKind::Gradient => {

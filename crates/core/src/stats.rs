@@ -33,7 +33,9 @@ pub struct RunReport {
     pub algorithm: String,
     /// Environment name.
     pub env: String,
-    /// Rollout steps the learner consumed.
+    /// Rollout steps the learner consumed. Under supervision this counts
+    /// crashed learner incarnations too, as far as their sessions reached
+    /// the controller.
     pub steps_consumed: u64,
     /// Wall-clock duration of the run.
     pub wall_time: Duration,

@@ -485,6 +485,9 @@ impl Deployment {
 
         // ---- Supervision loop -------------------------------------------
         let poll = Duration::from_millis(supervision.poll_interval_ms.max(1));
+        // Set once the controller has ended the run: supervision then only
+        // finishes recoveries already under way, until this deadline.
+        let mut winding_down: Option<Instant> = None;
         loop {
             // 1. Feed the detector: drain every monitor shard, sweep for
             // silence.
@@ -508,6 +511,9 @@ impl Deployment {
                             // Normal exit (shutdown reached it): keep the stats.
                             detector.forget(pid);
                             slot.outcomes.push(outcome);
+                        }
+                        Err(_) if winding_down.is_some() => {
+                            eprintln!("supervisor: explorer {i_u32} panicked during shutdown");
                         }
                         Err(_)
                             if !slot.retired
@@ -561,6 +567,11 @@ impl Deployment {
                             train_sessions += outcome.train_sessions;
                             train_time += outcome.train_time;
                             slot.last_outcome = Some(outcome);
+                        }
+                        Err(_) if winding_down.is_some() => {
+                            return Err(DeployError::new(format!(
+                                "learner shard {s_u32} panicked during shutdown"
+                            )));
                         }
                         Err(_) if slot.restores < supervision.max_learner_restores => {
                             slot.awaiting_detection = true;
@@ -622,7 +633,7 @@ impl Deployment {
             // traffic (parameter broadcasts, stats) bypasses the capacity
             // gate and is excluded, so a chatty learner cannot pin the
             // signal above the low watermark and stall the drain.
-            if let Some(ctl) = elastic.as_mut() {
+            if let Some(ctl) = elastic.as_mut().filter(|_| winding_down.is_none()) {
                 let occupancy =
                     brokers.iter().map(|b| b.store().data_occupancy()).fold(0.0f64, f64::max);
                 match ctl.decide(occupancy) {
@@ -684,9 +695,21 @@ impl Deployment {
                 }
             }
 
-            // 5. The controller ending the run ends supervision.
+            // 5. The controller ending the run ends supervision, once the
+            // recoveries already under way are through: a death proven during
+            // the run is seen through to detection and respawn (the final
+            // shutdown broadcast below reaches the respawned process), so the
+            // report accounts for it even when the goal came first. A death
+            // after that point is a shutdown panic and is not recovered.
             if controller_handle.is_finished() {
-                break;
+                let recovering = slots.iter().any(|s| s.awaiting_detection)
+                    || learner_slots.iter().any(|s| s.awaiting_detection);
+                let deadline = *winding_down.get_or_insert_with(|| {
+                    Instant::now() + Duration::from_millis(4 * supervision.detector.base_timeout_ms)
+                });
+                if !recovering || Instant::now() >= deadline {
+                    break;
+                }
             }
             std::thread::sleep(poll);
         }
@@ -789,7 +812,11 @@ impl Deployment {
                 episode_returns.extend_from_slice(o.tracker.returns());
             }
         }
-        let _ = controller_outcome;
+        // A crashed learner incarnation takes its outcome down with it, but
+        // every session it completed reported its steps to the controller:
+        // the controller's tally then bounds the steps consumed from below
+        // better than the surviving incarnations' outcomes do.
+        let steps_consumed = steps_consumed.max(controller_outcome.learner_steps);
 
         let dangling_replay_slots =
             replay_summary.as_ref().map_or(0, |(_, integrity)| integrity.dangling_slots);

@@ -7,12 +7,13 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use xingtian::controller::ControllerProcess;
-use xingtian::explorer::{ExplorerProcess, RolloutRoute, MAX_INFLIGHT_BATCHES};
+use xingtian::explorer::{ExplorerProcess, RolloutRoute};
 use xingtian::learner::LearnerProcess;
 use xingtian::messages::ControlCommand;
 use xingtian_algos::api::{ActionSelection, Agent, Algorithm, SyncMode, TrainReport};
 use xingtian_algos::payload::{ParamBlob, RolloutBatch};
-use xingtian_comm::{Broker, CommConfig};
+use xingtian_comm::credit::LEASE;
+use xingtian_comm::{Broker, CommConfig, CreditLedger};
 use xingtian_message::codec::Encode;
 use xingtian_message::{MessageKind, ProcessId};
 
@@ -154,8 +155,13 @@ fn on_policy_explorer_waits_for_fresh_parameters() {
     let explorer_thread = std::thread::spawn(move || explorer.run());
 
     // Exactly one batch arrives, then the explorer blocks on parameters.
+    // The batch is credited at once, so only the on-policy gate, not the
+    // credit window, can hold the next one back.
     let first = learner_ep.recv_timeout(Duration::from_secs(10)).expect("first batch");
     assert_eq!(first.header.kind, MessageKind::Rollout);
+    let mut credits = CreditLedger::new();
+    credits.on_rollout(&first.header);
+    credits.flush(&learner_ep);
     assert!(
         learner_ep.recv_timeout(Duration::from_millis(300)).is_none(),
         "on-policy gate must hold without new parameters"
@@ -164,10 +170,9 @@ fn on_policy_explorer_waits_for_fresh_parameters() {
     // Fresh parameters release the gate for exactly one more batch.
     let blob = ParamBlob { version: 1, params: vec![0.0; 4] };
     learner_ep.send_to(vec![ProcessId::explorer(0)], MessageKind::Parameters, Bytes::from(blob.to_bytes()));
-    assert!(
-        learner_ep.recv_timeout(Duration::from_secs(10)).is_some(),
-        "gate released by the broadcast"
-    );
+    let released = std::iter::from_fn(|| learner_ep.recv_timeout(Duration::from_secs(10)))
+        .find(|m| m.header.kind == MessageKind::Rollout);
+    assert!(released.is_some(), "gate released by the broadcast");
 
     // Shutdown ends the explorer even while it is gated.
     learner_ep.send_to(
@@ -183,8 +188,8 @@ fn on_policy_explorer_waits_for_fresh_parameters() {
 
 #[test]
 fn explorer_flow_control_caps_the_send_backlog() {
-    // No learner consumes, so the store fills and the backlog must plateau at
-    // the flow-control limit instead of growing unboundedly.
+    // No learner consumes, so no credit ever comes back: the explorer must
+    // hold instead of running ahead into the store.
     let broker = Broker::new(0, Cluster::single(), CommConfig::uncompressed());
     // A learner endpoint exists (so routing works) but never receives.
     let learner_ep = broker.endpoint(ProcessId::learner(0));
@@ -220,9 +225,9 @@ fn explorer_flow_control_caps_the_send_backlog() {
     // explorer can shut down cleanly.
     drop(learner_ep);
     let outcome = explorer_thread.join().unwrap();
-    // The store admits ~9 × 14 MiB bodies, the learner's bounded receive
-    // buffer 8 more, the send-side gate 4; allow slack for in-hand messages.
-    let ceiling = (128 / 14) + 8 + MAX_INFLIGHT_BATCHES as u64 + 4;
+    // One uncredited rollout, plus at most one more per lapsed lease; allow
+    // slack for the rollout in hand at shutdown.
+    let ceiling = 1 + (8.0 / LEASE.as_secs_f64()) as u64 + 2;
     assert!(
         outcome.batches_sent <= ceiling,
         "explorer ran ahead: {} batches (ceiling {ceiling})",

@@ -7,6 +7,7 @@
 //! vector (a rollout goes to the single learner; a parameter broadcast fans out
 //! to many explorers).
 
+use crate::credit::CreditFrame;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -139,6 +140,11 @@ pub enum MessageKind {
     /// A serving replica's answer to an [`MessageKind::InferRequest`]: the
     /// selected actions (or an explicit shed). Priority lane, same reasoning.
     InferReply,
+    /// A rollout consumer returning flow-control credits to explorers (a
+    /// [`crate::credit::CreditFrame`] body) when no parameter broadcast is
+    /// going their way to carry them. Tiny and control-plane prioritized:
+    /// a credit is what lets a backpressured producer resume.
+    Credit,
 }
 
 /// How a message body stored in the object store is compressed.
@@ -310,6 +316,9 @@ pub struct Header {
     /// When the producing workhorse thread created the message. Used to derive
     /// the transmission-latency distributions of Figs. 8–10.
     pub created_at: Instant,
+    /// Rollout credits piggybacked on this message (a parameter broadcast
+    /// to explorers the sending consumer owes credits anyway).
+    pub credit: Option<Arc<CreditFrame>>,
 }
 
 impl Header {
@@ -326,6 +335,7 @@ impl Header {
             seq: 0,
             param_version: 0,
             created_at: Instant::now(),
+            credit: None,
         }
     }
 

@@ -29,6 +29,7 @@
 
 pub mod chunk;
 pub mod codec;
+pub mod credit;
 pub mod header;
 pub mod lz4;
 pub mod message;
@@ -36,6 +37,7 @@ pub mod param;
 pub mod serve;
 
 pub use chunk::ChunkError;
+pub use credit::{CreditFrame, CreditGrant};
 pub use header::{CompressionKind, Header, MessageKind, ProcessId, ProcessRole};
 pub use message::{Body, Message, COMPRESSION_THRESHOLD};
 pub use param::{ParamCodecError, ParamFrameHeader, QUANT_GROUP};

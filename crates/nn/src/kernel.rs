@@ -18,6 +18,22 @@
 //! is still cache-hot, and [`act_grad_mul`] folds the activation derivative
 //! into the backpropagated delta in place.
 //!
+//! # Row kernel and batch invariance
+//!
+//! An explorer's `act` is a one-row forward, so `m % MR` remainder rows are
+//! the inference hot path, not an edge case. With AVX2+FMA, [`gemm_bias_act`]
+//! sends every remainder row through a row microkernel that keeps up to 64
+//! output columns in eight independent FMA accumulators, and the ragged
+//! `nr < NR` columns of whole row blocks (small heads such as 9 logits or 1
+//! value) through the FMA tile with its columns masked to `nr`. Both perform,
+//! per output element, exactly the arithmetic of the full `MR × NR` FMA
+//! tile: a fused multiply-add chain from zero over `t = 0..k` in order.
+//! The portable kernels likewise share one per-element chain (unfused,
+//! same order). So on either path a row's forward output is bit-identical
+//! whether the row is computed alone or at any position in any batch:
+//! explorers acting one row at a time and learners re-evaluating the same
+//! rows in a training batch see the same numbers.
+//!
 //! Every kernel writes its full output (no read-modify-write), takes plain
 //! slices, and allocates nothing — scratch space (the `gemm_nt` pack panel)
 //! is caller-owned so steady-state training performs zero heap allocations.
@@ -30,6 +46,9 @@ pub const MR: usize = 4;
 /// vectors; `MR × NR` f32 accumulators fit the 16 vector registers of both
 /// AVX2 and NEON-class machines with room for the `B` row and broadcast.
 pub const NR: usize = 16;
+/// Output columns per row-kernel block: eight 8-lane FMA accumulators,
+/// enough independent chains to cover the FMA latency on a single row.
+const ROW_NC: usize = 64;
 
 /// Explicit AVX2+FMA microkernels, used when the CPU supports them.
 ///
@@ -89,6 +108,142 @@ mod fma {
             for (r, accr) in acc.iter().enumerate() {
                 _mm256_storeu_ps(op.add(r * ldc), accr[0]);
                 _mm256_storeu_ps(op.add(r * ldc + 8), accr[1]);
+            }
+        }
+    }
+
+    /// One output row `out[..n] = a[..k] × b` for any `n`: the row kernel
+    /// behind every remainder row.
+    ///
+    /// Columns go in blocks of [`super::ROW_NC`], eight independent 8-lane
+    /// accumulators, each running the same fused chain over `t` as
+    /// [`micro_nn`].
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure AVX2+FMA are available (see [`available`]).
+    /// Shape bounds are asserted.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub unsafe fn row_nn(k: usize, n: usize, a: &[f32], b: &[f32], ldb: usize, out: &mut [f32]) {
+        assert!(a.len() >= k, "fma row a slice too short");
+        assert!(k == 0 || b.len() >= (k - 1) * ldb + n, "fma row b slice too short");
+        assert!(out.len() >= n, "fma row out slice too short");
+        for jb in (0..n).step_by(super::ROW_NC) {
+            let w = super::ROW_NC.min(n - jb);
+            // SAFETY: the asserts above bound every row of `b` to `n`
+            // columns and `out` to `n`; the block touches columns
+            // `jb..jb + w` only.
+            unsafe {
+                let (ap, bp, op) = (a.as_ptr(), b.as_ptr().add(jb), out.as_mut_ptr().add(jb));
+                match w.div_ceil(8) {
+                    1 => block::<1, 1>(k, ap, 0, bp, ldb, w, op, 0),
+                    2 => block::<1, 2>(k, ap, 0, bp, ldb, w, op, 0),
+                    3 => block::<1, 3>(k, ap, 0, bp, ldb, w, op, 0),
+                    4 => block::<1, 4>(k, ap, 0, bp, ldb, w, op, 0),
+                    5 => block::<1, 5>(k, ap, 0, bp, ldb, w, op, 0),
+                    6 => block::<1, 6>(k, ap, 0, bp, ldb, w, op, 0),
+                    7 => block::<1, 7>(k, ap, 0, bp, ldb, w, op, 0),
+                    _ => block::<1, 8>(k, ap, 0, bp, ldb, w, op, 0),
+                }
+            }
+        }
+    }
+
+    /// The `MR × nr` tile for a ragged `nr < NR`: [`micro_nn`] with the
+    /// columns past `nr` masked off, so every row's ragged columns run the
+    /// same chains as [`row_nn`] would give them.
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure AVX2+FMA are available (see [`available`]).
+    /// Shape bounds are asserted.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    #[allow(clippy::too_many_arguments)] // mirrors the BLAS microkernel signature
+    pub unsafe fn micro_nn_ragged(
+        k: usize,
+        nr: usize,
+        a: &[f32],
+        lda: usize,
+        b: &[f32],
+        ldb: usize,
+        out: &mut [f32],
+        ldc: usize,
+    ) {
+        assert!(nr > 0 && nr < NR, "fma ragged tile width out of range");
+        assert!(a.len() >= (MR - 1) * lda + k, "fma ragged a slice too short");
+        assert!(k == 0 || b.len() >= (k - 1) * ldb + nr, "fma ragged b slice too short");
+        assert!(out.len() >= (MR - 1) * ldc + nr, "fma ragged out slice too short");
+        // SAFETY: the asserts above bound the `MR` rows of `a`, the `nr`
+        // columns of every `b` row, and the `MR × nr` output tile.
+        unsafe {
+            let (ap, bp, op) = (a.as_ptr(), b.as_ptr(), out.as_mut_ptr());
+            if nr <= 8 {
+                block::<MR, 1>(k, ap, lda, bp, ldb, nr, op, ldc);
+            } else {
+                block::<MR, 2>(k, ap, lda, bp, ldb, nr, op, ldc);
+            }
+        }
+    }
+
+    /// `R` rows × `w` columns (`8 * (V - 1) < w <= 8 * V`) held in `R × V`
+    /// accumulators; the last vector of each row is read and written
+    /// through a lane mask.
+    ///
+    /// # Safety
+    ///
+    /// AVX2+FMA available; `R` rows of `k` floats at stride `lda` readable
+    /// at `a`, `k` rows of `w` floats at stride `ldb` readable at `b`, and
+    /// `R` rows of `w` floats at stride `ldc` writable at `out`.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    #[inline]
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn block<const R: usize, const V: usize>(
+        k: usize,
+        a: *const f32,
+        lda: usize,
+        b: *const f32,
+        ldb: usize,
+        w: usize,
+        out: *mut f32,
+        ldc: usize,
+    ) {
+        let live = (w - 8 * (V - 1)) as i32; // lanes of the last vector, 1..=8
+        let full = live == 8;
+        let lane = |i: i32| -((live > i) as i32);
+        let mask = _mm256_setr_epi32(lane(0), lane(1), lane(2), lane(3), lane(4), lane(5), lane(6), lane(7));
+        // SAFETY: the caller's contract covers every read and write below;
+        // masked-off lanes are neither read nor written.
+        unsafe {
+            let mut acc = [[_mm256_setzero_ps(); V]; R];
+            let mut bp = b;
+            for t in 0..k {
+                let mut bv = [_mm256_setzero_ps(); V];
+                for (v, x) in bv.iter_mut().enumerate().take(V - 1) {
+                    *x = _mm256_loadu_ps(bp.add(8 * v));
+                }
+                bv[V - 1] = if full {
+                    _mm256_loadu_ps(bp.add(8 * (V - 1)))
+                } else {
+                    _mm256_maskload_ps(bp.add(8 * (V - 1)), mask)
+                };
+                for (r, accr) in acc.iter_mut().enumerate() {
+                    let x = _mm256_set1_ps(*a.add(r * lda + t));
+                    for (accv, &bvv) in accr.iter_mut().zip(&bv) {
+                        *accv = _mm256_fmadd_ps(x, bvv, *accv);
+                    }
+                }
+                bp = bp.add(ldb);
+            }
+            for (r, accr) in acc.iter().enumerate() {
+                let o = out.add(r * ldc);
+                for (v, accv) in accr.iter().enumerate().take(V - 1) {
+                    _mm256_storeu_ps(o.add(8 * v), *accv);
+                }
+                if full {
+                    _mm256_storeu_ps(o.add(8 * (V - 1)), accr[V - 1]);
+                } else {
+                    _mm256_maskstore_ps(o.add(8 * (V - 1)), mask, accr[V - 1]);
+                }
             }
         }
     }
@@ -173,6 +328,49 @@ fn micro_nn_sel(
     micro_nn_full(k, a, lda, b, ldb, out, ldc);
 }
 
+/// The FMA row kernel ([`fma::row_nn`]). Only reached when
+/// [`fma_available`] reported AVX2+FMA.
+#[inline]
+fn row_nn_fma(k: usize, n: usize, a: &[f32], b: &[f32], ldb: usize, out: &mut [f32]) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: every caller sits behind a `use_fma` that is only true when
+    // `fma::available()` reported AVX2+FMA support.
+    unsafe {
+        fma::row_nn(k, n, a, b, ldb, out)
+    };
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        let _ = (k, n, a, b, ldb, out);
+        unreachable!("the FMA row kernel is only selected on x86-64");
+    }
+}
+
+/// The FMA ragged-column tile ([`fma::micro_nn_ragged`]). Only reached when
+/// [`fma_available`] reported AVX2+FMA.
+#[inline]
+#[allow(clippy::too_many_arguments)] // mirrors the BLAS microkernel signature
+fn micro_nn_ragged_fma(
+    k: usize,
+    nr: usize,
+    a: &[f32],
+    lda: usize,
+    b: &[f32],
+    ldb: usize,
+    out: &mut [f32],
+    ldc: usize,
+) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: as for `row_nn_fma`.
+    unsafe {
+        fma::micro_nn_ragged(k, nr, a, lda, b, ldb, out, ldc)
+    };
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        let _ = (k, nr, a, lda, b, ldb, out, ldc);
+        unreachable!("the FMA ragged tile is only selected on x86-64");
+    }
+}
+
 /// Full-tile `tn` microkernel dispatch: FMA when detected, portable otherwise.
 #[inline]
 #[allow(clippy::too_many_arguments)] // mirrors the BLAS microkernel signature
@@ -211,11 +409,32 @@ pub fn gemm_nn(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f3
 /// and `act` are applied to each output tile immediately after it is
 /// computed, while it is still in cache; pass `None` for a plain GEMM.
 ///
+/// Each output row is bit-identical to the same row computed alone (see the
+/// module docs on batch invariance).
+///
 /// # Panics
 ///
 /// Panics if a slice is shorter than its shape implies.
 #[allow(clippy::too_many_arguments)] // mirrors the BLAS layer-op signature
 pub fn gemm_bias_act(
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[f32],
+    w: &[f32],
+    bias: Option<&[f32]>,
+    act: Option<Activation>,
+    out: &mut [f32],
+) {
+    gemm_bias_act_with(fma_available(), m, k, n, a, w, bias, act, out);
+}
+
+/// [`gemm_bias_act`] on an explicit kernel path (`use_fma` must only be true
+/// when [`fma_available`] is), so tests can drive the portable path on FMA
+/// hardware too.
+#[allow(clippy::too_many_arguments)] // mirrors the BLAS layer-op signature
+fn gemm_bias_act_with(
+    use_fma: bool,
     m: usize,
     k: usize,
     n: usize,
@@ -231,19 +450,28 @@ pub fn gemm_bias_act(
     if let Some(bias) = bias {
         assert_eq!(bias.len(), n, "bias length mismatch");
     }
-    let use_fma = fma_available();
-    for ib in (0..m).step_by(MR) {
+    // The FMA path tiles only whole `MR`-row blocks; remainder rows take the
+    // row kernel across all `n` columns below.
+    let tiled_rows = if use_fma { m - m % MR } else { m };
+    for ib in (0..tiled_rows).step_by(MR) {
         let mr = MR.min(m - ib);
         for jb in (0..n).step_by(NR) {
             let nr = NR.min(n - jb);
             let tile = &mut out[ib * n + jb..];
             if mr == MR && nr == NR {
                 micro_nn_sel(use_fma, k, &a[ib * k..], k, &w[jb..], n, tile, n);
+            } else if use_fma {
+                micro_nn_ragged_fma(k, nr, &a[ib * k..], k, &w[jb..], n, tile, n);
             } else {
                 micro_nn_edge(k, mr, nr, &a[ib * k..], k, &w[jb..], n, tile, n);
             }
             finish_tile(tile, n, mr, nr, bias.map(|b| &b[jb..jb + nr]), act);
         }
+    }
+    for i in tiled_rows..m {
+        let row = &mut out[i * n..];
+        row_nn_fma(k, n, &a[i * k..], w, n, row);
+        finish_tile(row, n, 1, n, bias, act);
     }
 }
 
@@ -594,18 +822,60 @@ mod tests {
             (32, 128, 9),
             (1, 128, 64),
             (64, 1, 64),
+            // Explorer-shaped forwards: the row kernel alone and beside
+            // full tiles, ragged heads included.
+            (1, 512, 64),
+            (2, 512, 64),
+            (3, 512, 64),
+            (1, 64, 9),
+            (3, 64, 1),
         ]
+    }
+
+    /// Kernel paths this machine can run: portable always, FMA if detected.
+    fn paths() -> Vec<bool> {
+        if fma_available() {
+            vec![false, true]
+        } else {
+            vec![false]
+        }
     }
 
     #[test]
     fn gemm_nn_matches_naive() {
-        let mut rng = StdRng::seed_from_u64(1);
-        for (m, k, n) in shapes() {
-            let a = rand_vec(&mut rng, m * k);
-            let b = rand_vec(&mut rng, k * n);
-            let mut out = vec![f32::NAN; m * n];
-            gemm_nn(m, k, n, &a, &b, &mut out);
-            assert_close(&out, &naive::nn(m, k, n, &a, &b), "nn");
+        for use_fma in paths() {
+            let mut rng = StdRng::seed_from_u64(1);
+            for (m, k, n) in shapes() {
+                let a = rand_vec(&mut rng, m * k);
+                let b = rand_vec(&mut rng, k * n);
+                let mut out = vec![f32::NAN; m * n];
+                gemm_bias_act_with(use_fma, m, k, n, &a, &b, None, None, &mut out);
+                assert_close(&out, &naive::nn(m, k, n, &a, &b), "nn");
+            }
+        }
+    }
+
+    #[test]
+    fn rows_are_batch_invariant_on_every_path() {
+        let mut rng = StdRng::seed_from_u64(6);
+        let (k, n) = (37, 41); // ragged in both directions
+        for use_fma in paths() {
+            for m in 1..=2 * MR + 1 {
+                let a = rand_vec(&mut rng, m * k);
+                let w = rand_vec(&mut rng, k * n);
+                let bias = rand_vec(&mut rng, n);
+                let mut batch = vec![0.0f32; m * n];
+                let act = Some(Activation::Tanh);
+                gemm_bias_act_with(use_fma, m, k, n, &a, &w, Some(&bias), act, &mut batch);
+                for i in 0..m {
+                    let mut alone = vec![0.0f32; n];
+                    let row = &a[i * k..(i + 1) * k];
+                    gemm_bias_act_with(use_fma, 1, k, n, row, &w, Some(&bias), act, &mut alone);
+                    let got: Vec<u32> = batch[i * n..(i + 1) * n].iter().map(|v| v.to_bits()).collect();
+                    let want: Vec<u32> = alone.iter().map(|v| v.to_bits()).collect();
+                    assert_eq!(got, want, "fma={use_fma} m={m} row {i}");
+                }
+            }
         }
     }
 
@@ -636,26 +906,28 @@ mod tests {
 
     #[test]
     fn fused_bias_act_matches_separate_passes() {
-        let mut rng = StdRng::seed_from_u64(4);
-        for act in [None, Some(Activation::Relu), Some(Activation::Tanh)] {
-            let (m, k, n) = (7, 33, 19);
-            let a = rand_vec(&mut rng, m * k);
-            let w = rand_vec(&mut rng, k * n);
-            let bias = rand_vec(&mut rng, n);
-            let mut fused = vec![0.0f32; m * n];
-            gemm_bias_act(m, k, n, &a, &w, Some(&bias), act, &mut fused);
-            let mut separate = naive::nn(m, k, n, &a, &w);
-            for i in 0..m {
-                for j in 0..n {
-                    let v = separate[i * n + j] + bias[j];
-                    separate[i * n + j] = match act {
-                        Some(Activation::Relu) => v.max(0.0),
-                        Some(Activation::Tanh) => v.tanh(),
-                        None => v,
-                    };
+        for use_fma in paths() {
+            let mut rng = StdRng::seed_from_u64(4);
+            for act in [None, Some(Activation::Relu), Some(Activation::Tanh)] {
+                let (m, k, n) = (7, 33, 19);
+                let a = rand_vec(&mut rng, m * k);
+                let w = rand_vec(&mut rng, k * n);
+                let bias = rand_vec(&mut rng, n);
+                let mut fused = vec![0.0f32; m * n];
+                gemm_bias_act_with(use_fma, m, k, n, &a, &w, Some(&bias), act, &mut fused);
+                let mut separate = naive::nn(m, k, n, &a, &w);
+                for i in 0..m {
+                    for j in 0..n {
+                        let v = separate[i * n + j] + bias[j];
+                        separate[i * n + j] = match act {
+                            Some(Activation::Relu) => v.max(0.0),
+                            Some(Activation::Tanh) => v.tanh(),
+                            None => v,
+                        };
+                    }
                 }
+                assert_close(&fused, &separate, "fused");
             }
-            assert_close(&fused, &separate, "fused");
         }
     }
 

@@ -46,7 +46,9 @@ impl ReplayBackend for StoreResidentBackend {
     }
 
     fn total_inserted(&self) -> u64 {
-        self.plane.total_inserted()
+        // The learner's training gate reads this; reading it is what a
+        // wake-up notice asks for.
+        self.plane.observe_inserted()
     }
 
     fn prioritized(&self) -> bool {

@@ -16,7 +16,7 @@ use crate::arena::TransitionArena;
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::Rng;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
 use xingtian_algos::payload::RolloutBatch;
 use xingtian_algos::sumtree::SumTree;
@@ -92,6 +92,9 @@ pub struct ReplayPlane {
     /// Transitions fully ingested (insert sequence numbers `0..committed`
     /// are readable).
     committed: AtomicU64,
+    /// Set while a wake-up notice is on its way to the learner; cleared when
+    /// the learner reads the insert count (see [`ReplayPlane::claim_notice`]).
+    notice_in_flight: AtomicBool,
     batches: AtomicU64,
     prio: Option<Mutex<PrioIndex>>,
     ingest_hist: HistogramHandle,
@@ -126,6 +129,7 @@ impl ReplayPlane {
             shard_count,
             shards: (0..shard_count).map(|_| Mutex::new(TransitionArena::new(slots, config.obs_dim))).collect(),
             committed: AtomicU64::new(0),
+            notice_in_flight: AtomicBool::new(false),
             batches: AtomicU64::new(0),
             prio: config.prioritized.map(|alpha| {
                 assert!(alpha >= 0.0, "alpha must be non-negative");
@@ -175,6 +179,26 @@ impl ReplayPlane {
     /// Transitions ingested over the plane's lifetime.
     pub fn total_inserted(&self) -> u64 {
         self.committed.load(Ordering::Acquire)
+    }
+
+    /// The learner's read of [`ReplayPlane::total_inserted`]: having looked,
+    /// the learner needs a fresh wake-up notice for later inserts only.
+    pub fn observe_inserted(&self) -> u64 {
+        self.notice_in_flight.swap(false, Ordering::AcqRel);
+        self.committed.load(Ordering::Acquire)
+    }
+
+    /// Called by the ingest service after an ingest: true if it should send
+    /// the learner a wake-up notice, false if one sent earlier has not been
+    /// looked at yet. At most one notice is in flight, so a learner slower
+    /// than its explorers is not buried under wake-ups.
+    ///
+    /// No insert goes unnoticed: a `false` here means an earlier notice is
+    /// still undelivered or unread, and the learner's next
+    /// [`ReplayPlane::observe_inserted`] swap comes after this one and sees
+    /// this ingest's count.
+    pub fn claim_notice(&self) -> bool {
+        !self.notice_in_flight.swap(true, Ordering::AcqRel)
     }
 
     /// Rollout batches ingested over the plane's lifetime.
@@ -438,6 +462,18 @@ mod tests {
         assert_eq!(report.dangling_slots, 0);
         assert_eq!(report.resident, 8);
         assert!(report.total_inserted >= 8);
+    }
+
+    #[test]
+    fn one_notice_in_flight_until_the_learner_looks() {
+        let plane = ReplayPlane::new(ReplayConfig::uniform(64, 1), &Telemetry::disabled());
+        plane.ingest_batch(&batch(1, 4, 1));
+        assert!(plane.claim_notice(), "the first ingest wakes the learner");
+        plane.ingest_batch(&batch(6, 4, 1));
+        assert!(!plane.claim_notice(), "the first notice is still unread");
+        assert_eq!(plane.observe_inserted(), 8, "the learner's look covers both ingests");
+        plane.ingest_batch(&batch(11, 4, 1));
+        assert!(plane.claim_notice(), "inserts after the look need a new notice");
     }
 
     #[test]

@@ -7,8 +7,11 @@
 //! and only decode the batch ever gets. It then nudges the learner with a
 //! tiny control-plane [`MessageKind::ReplayNotice`] carrying the insert
 //! count, so the learner's training loop wakes without receiving any rollout
-//! payload at all. Remote learners are served [`MessageKind::SampleRequest`]s
-//! directly from the plane.
+//! payload at all. At most one notice is in flight
+//! ([`ReplayPlane::claim_notice`]). Remote learners are served
+//! [`MessageKind::SampleRequest`]s directly from the plane. Ingestion is what consumes a rollout here, so
+//! the service returns the explorer's credit (`xingtian_comm::credit`) once
+//! the batch is in the plane.
 
 use crate::plane::ReplayPlane;
 use crate::wire::{answer, SampleRequest};
@@ -17,7 +20,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use xingtian_algos::payload::BatchDecoder;
-use xingtian_comm::Endpoint;
+use xingtian_comm::{CreditLedger, Endpoint};
 use xingtian_message::codec::{Decode, Encode};
 use xingtian_message::{MessageKind, ProcessId};
 
@@ -45,8 +48,14 @@ pub fn run_replay_service(
     stop: Arc<AtomicBool>,
 ) -> ReplayOutcome {
     let mut decoder = BatchDecoder::new();
+    let mut credits = CreditLedger::new();
     let mut outcome = ReplayOutcome::default();
     loop {
+        // Credits go out once the receive buffer is drained: one frame per
+        // burst.
+        if endpoint.pending() == 0 {
+            credits.flush(&endpoint);
+        }
         if stop.load(Ordering::Acquire) {
             break;
         }
@@ -55,15 +64,20 @@ pub fn run_replay_service(
         };
         match msg.header.kind {
             MessageKind::Rollout => {
+                // Credited decodable or not: the sender waits either way.
+                credits.on_rollout(&msg.header);
                 let Ok(batch) = decoder.decode(&msg.body) else { continue };
                 let inserted = plane.ingest_batch(&batch);
                 decoder.recycle(batch);
                 outcome.batches_ingested += 1;
                 outcome.steps_ingested += inserted as u64;
                 // Wake the learner with the insert count (the body must be
-                // non-empty; endpoints reject empty sends).
-                let count = (inserted as u32).to_le_bytes();
-                endpoint.send_to(vec![notify], MessageKind::ReplayNotice, Bytes::copy_from_slice(&count));
+                // non-empty; endpoints reject empty sends), unless an earlier
+                // notice is still unread.
+                if plane.claim_notice() {
+                    let count = (inserted as u32).to_le_bytes();
+                    endpoint.send_to(vec![notify], MessageKind::ReplayNotice, Bytes::copy_from_slice(&count));
+                }
             }
             MessageKind::SampleRequest => {
                 let Ok(req) = SampleRequest::from_bytes(&msg.body) else { continue };

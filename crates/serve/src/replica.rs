@@ -24,6 +24,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
+use tinynn::ops::argmax;
 use tinynn::Workspace;
 use xingtian::messages::{ControlCommand, ParamAck};
 use xingtian::{IngestOutcome, ParamReceiver};
@@ -239,7 +240,7 @@ impl ServeReplica {
             let num_actions = self.config.num_actions;
             let mut actions = Vec::with_capacity(rows);
             for r in 0..rows {
-                actions.push(argmax(&q[r * num_actions..(r + 1) * num_actions]));
+                actions.push(argmax(&q[r * num_actions..(r + 1) * num_actions]) as u32);
             }
             (policy.version, actions)
         });
@@ -280,18 +281,6 @@ impl ServeReplica {
         };
         self.endpoint.send_to(vec![to], MessageKind::InferReply, Bytes::from(reply.to_bytes()));
     }
-}
-
-/// Greedy action: index of the first maximum (deterministic tie-break, the
-/// same rule `DqnAgent::act` uses, so serving matches training-side greedy).
-fn argmax(q: &[f32]) -> u32 {
-    let mut best = 0usize;
-    for (i, &v) in q.iter().enumerate().skip(1) {
-        if v > q[best] {
-            best = i;
-        }
-    }
-    best as u32
 }
 
 fn is_shutdown(msg: &Message) -> bool {
@@ -345,6 +334,8 @@ fn send_ack(endpoint: &Endpoint, to: ProcessId, sink: u32, version: u64, applied
 mod tests {
     use super::*;
 
+    /// Greedy serving shares `DqnAgent::act`'s argmax, whose first-maximum
+    /// tie-break keeps serving identical to training-side greedy.
     #[test]
     fn argmax_breaks_ties_toward_the_first_maximum() {
         assert_eq!(argmax(&[0.0, 1.0, 1.0]), 1);
