@@ -106,4 +106,11 @@ echo "== perfbench smoke: impala-2m end to end with the benchmark's correctness 
 cargo run --release --offline --manifest-path perfbench/Cargo.toml --bin perfbench -- \
   --workload impala-2m --seed 1 --seconds 5 --trace 0
 
+echo "== perfbench smoke: dqn-replay end to end with the store-resident replay checks =="
+# The many-small-messages workload: one DQN explorer feeding the
+# store-resident replay plane. On top of the checks above, perfbench fails
+# the run if the replay arena holds a torn slot.
+cargo run --release --offline --manifest-path perfbench/Cargo.toml --bin perfbench -- \
+  --workload dqn-replay --seed 1 --seconds 5 --trace 0
+
 echo "ci.sh: all green"

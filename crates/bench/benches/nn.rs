@@ -100,6 +100,33 @@ fn bench_optim(c: &mut Criterion) {
     c.bench_function("adam_step_70k_params", |b| {
         b.iter(|| opt.step(net.params_mut(), &grads))
     });
+
+    // Zero-gradient parameters, as dead ReLU units give: each parameter gets
+    // a 0.01 gradient once every `PERIOD` steps and exactly zero otherwise,
+    // one block per step in rotation. Its first moment then decays by β₁ per
+    // step from ~1e-3 and would pass below f32::MIN_POSITIVE after ~760
+    // steps, then stay subnormal until the next kick (0.9·m rounds back to m
+    // once m is a few multiples of the smallest subnormal). Without a flush
+    // ~24% of the moments are subnormal at every step. The rotation keeps
+    // that share stationary however many iterations the harness runs.
+    const PERIOD: usize = 1000;
+    let n = net.num_params();
+    let block = n.div_ceil(PERIOD);
+    let mut grads = vec![0.0f32; n];
+    let mut opt = Adam::new(n, 1e-3);
+    let mut k = 0usize;
+    let mut step = move |params: &mut [f32]| {
+        let prev = (k + PERIOD - 1) % PERIOD * block;
+        grads[prev.min(n)..(prev + block).min(n)].fill(0.0);
+        let next = k * block;
+        grads[next.min(n)..(next + block).min(n)].fill(0.01);
+        opt.step(params, &grads);
+        k = (k + 1) % PERIOD;
+    };
+    for _ in 0..PERIOD {
+        step(net.params_mut());
+    }
+    c.bench_function("adam_step_decaying", |b| b.iter(|| step(net.params_mut())));
 }
 
 criterion_group!(benches, bench_mlp, bench_train_step, bench_optim);

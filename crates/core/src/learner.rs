@@ -18,6 +18,15 @@ use xingtian_comm::{CreditLedger, Endpoint, ParamCompression, TransmissionStats}
 use xingtian_message::codec::{Decode, Encode};
 use xingtian_message::{Header, Message, MessageKind, ProcessId};
 
+/// Messages a learner loop reads per pass beyond the first, before it trains
+/// its next session. The drain is bounded: at saturation every decoded
+/// rollout releases a store credit that un-blocks a backpressured explorer,
+/// whose next rollout lands before the buffer empties — an unbounded drain
+/// then decodes forever and never trains (a livelock that reads as
+/// multi-second zero-throughput stalls at 64+ explorers). Sixteen messages
+/// per pass keeps the batch queue fed without starving training.
+pub(crate) const MAX_DRAIN_PER_PASS: usize = 16;
+
 /// Configuration of the learner process.
 pub struct LearnerProcess {
     /// Communication endpoint (`ProcessId::learner(0)`).
@@ -108,15 +117,9 @@ impl LearnerProcess {
                 }
             }
             // Drain whatever else has already arrived — data already staged
-            // locally costs no wait. The drain is bounded: at saturation every
-            // decoded rollout releases a store credit that un-blocks a
-            // backpressured explorer, whose next rollout lands before the
-            // buffer empties — an unbounded drain then decodes forever and
-            // never trains (a livelock that reads as multi-second
-            // zero-throughput stalls at 64+ explorers). Sixteen messages per
-            // pass keeps the batch queue fed without starving training.
+            // locally costs no wait — up to `MAX_DRAIN_PER_PASS` messages.
             let mut drained = 0;
-            while drained < 16 {
+            while drained < MAX_DRAIN_PER_PASS {
                 let Some(extra) = self.endpoint.try_recv() else { break };
                 drained += 1;
                 if self.handle_message(&extra, &mut decoder, &decode_hist, &mut broadcaster, &mut credits) {

@@ -38,7 +38,7 @@ use crate::allreduce::{within_skew, GradExchange, GRAD_SLOTS};
 use crate::assignment::AssignmentTable;
 use crate::checkpoint::Checkpointer;
 use crate::config::AllreduceMode;
-use crate::learner::LearnerOutcome;
+use crate::learner::{LearnerOutcome, MAX_DRAIN_PER_PASS};
 use crate::messages::{ControlCommand, ParamAck, StatsMsg};
 use crate::parameters::ParamBroadcaster;
 use crate::stats::ThroughputTimeline;
@@ -480,25 +480,25 @@ impl LearnerShardProcess {
         let mut prev = self.algorithm.param_blob().params;
         gate.observe_params(&prev);
 
+        // Set while training may be owed, as in `LearnerProcess::run`: the
+        // next pass then only looks for messages instead of blocking.
+        let mut owes_sessions = true;
+
         'outer: loop {
             let t0 = Instant::now();
-            let Some(msg) = self.endpoint.recv() else { break };
+            let mut first = if owes_sessions {
+                self.endpoint.try_recv()
+            } else {
+                let Some(msg) = self.endpoint.recv() else { break };
+                Some(msg)
+            };
             run.waited += t0.elapsed();
-            if self.on_relaxed_message(
-                msg,
-                &mut decoder,
-                &decode_hist,
-                &mut broadcaster,
-                &mut prev,
-                &shed_counter,
-                &applied_counter,
-                &mut run.credits,
-            ) {
-                break;
-            }
-            while let Some(extra) = self.endpoint.try_recv() {
+            // Handle it and a bounded drain of what else has arrived (see
+            // `MAX_DRAIN_PER_PASS`).
+            for _ in 0..=MAX_DRAIN_PER_PASS {
+                let Some(msg) = first.take().or_else(|| self.endpoint.try_recv()) else { break };
                 if self.on_relaxed_message(
-                    extra,
+                    msg,
                     &mut decoder,
                     &decode_hist,
                     &mut broadcaster,
@@ -510,7 +510,10 @@ impl LearnerShardProcess {
                     break 'outer;
                 }
             }
-            while let Some(report) = {
+            // One training session per pass, then back to the channel: a
+            // shard its explorers outrun keeps reading its messages, Shutdown
+            // included, while it owes sessions.
+            let trained = {
                 let t = Instant::now();
                 let r = self.algorithm.try_train();
                 if r.is_some() {
@@ -519,7 +522,9 @@ impl LearnerShardProcess {
                     train_hist.record_duration(dt);
                 }
                 r
-            } {
+            };
+            owes_sessions = trained.is_some();
+            if let Some(report) = trained {
                 wait_hist.record_duration(run.waited);
                 sessions_counter.inc();
                 // Offer this session's parameter movement to the LAPG gate;
@@ -544,8 +549,10 @@ impl LearnerShardProcess {
                 prev = blob.params;
                 let notify = !report.notify.is_empty();
                 self.finish_session(&mut run, &mut broadcaster, report.steps_consumed, notify);
+            } else {
+                // Idle: credits no broadcast carried go out on their own.
+                run.credits.flush(&self.endpoint);
             }
-            run.credits.flush(&self.endpoint);
             while let Some(spent) = self.algorithm.take_spent() {
                 decoder.recycle(spent);
             }

@@ -4,12 +4,16 @@
 use bytes::Bytes;
 use netsim::Cluster;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
 use std::time::Duration;
+use xingtian::assignment::AssignmentTable;
+use xingtian::config::AllreduceMode;
 use xingtian::controller::ControllerProcess;
 use xingtian::explorer::{ExplorerProcess, RolloutRoute};
 use xingtian::learner::LearnerProcess;
 use xingtian::messages::ControlCommand;
+use xingtian::shard::LearnerShardProcess;
 use xingtian_algos::api::{ActionSelection, Agent, Algorithm, SyncMode, TrainReport};
 use xingtian_algos::payload::{ParamBlob, RolloutBatch};
 use xingtian_comm::credit::LEASE;
@@ -232,6 +236,98 @@ fn explorer_flow_control_caps_the_send_backlog() {
         outcome.batches_sent <= ceiling,
         "explorer ran ahead: {} batches (ceiling {ceiling})",
         outcome.batches_sent
+    );
+    broker.shutdown();
+}
+
+/// An algorithm that owes `debt` sessions from the start, as a DQN learner
+/// does once its explorers outrun it. Its first session reports that it
+/// started and then holds until the test releases it.
+struct IndebtedAlgorithm {
+    debt: usize,
+    version: u64,
+    started: Sender<()>,
+    release: Receiver<()>,
+}
+
+impl Algorithm for IndebtedAlgorithm {
+    fn on_rollout(&mut self, _batch: RolloutBatch) {}
+
+    fn try_train(&mut self) -> Option<TrainReport> {
+        if self.debt == 0 {
+            return None;
+        }
+        if self.version == 0 {
+            self.started.send(()).unwrap();
+            self.release.recv().unwrap();
+        }
+        self.debt -= 1;
+        self.version += 1;
+        Some(TrainReport { steps_consumed: 1, loss: 0.0, version: self.version, notify: vec![] })
+    }
+
+    fn param_blob(&self) -> ParamBlob {
+        ParamBlob { version: self.version, params: vec![0.5; 4] }
+    }
+
+    fn load_params(&mut self, _params: &[f32]) {}
+
+    fn version(&self) -> u64 {
+        self.version
+    }
+
+    fn sync_mode(&self) -> SyncMode {
+        SyncMode::OffPolicy
+    }
+
+    fn name(&self) -> &str {
+        "indebted"
+    }
+}
+
+#[test]
+fn relaxed_shard_sees_shutdown_while_it_owes_sessions() {
+    const DEBT: usize = 10_000;
+    // One router shard (the default) routes in submission order.
+    let broker = Broker::new(0, Cluster::single(), CommConfig::default());
+    let shard_ep = broker.endpoint(ProcessId::learner(0));
+    let controller_ep = broker.endpoint(ProcessId::controller(0));
+    let marker_ep = broker.endpoint(ProcessId::explorer(0));
+    let (started_tx, started_rx) = mpsc::channel();
+    let (release_tx, release_rx) = mpsc::channel();
+    let shard = LearnerShardProcess {
+        shard: 0,
+        endpoint: shard_ep,
+        algorithm: Box::new(IndebtedAlgorithm {
+            debt: DEBT,
+            version: 0,
+            started: started_tx,
+            release: release_rx,
+        }),
+        table: Arc::new(AssignmentTable::contiguous(1, 1)),
+        mode: AllreduceMode::Relaxed,
+        checkpointer: None,
+        probe: None,
+        param_compression: xingtian_comm::ParamCompression::default(),
+    };
+    let shard_thread = std::thread::spawn(move || shard.run());
+    let shutdown = || Bytes::from(ControlCommand::Shutdown.to_bytes());
+
+    // Any message wakes a loop that blocks for its first one.
+    controller_ep.send_to(vec![ProcessId::learner(0)], MessageKind::Stats, Bytes::from_static(b"wake"));
+    started_rx.recv().unwrap();
+    // Shutdown goes out while the first session runs, followed by a marker to
+    // another endpoint: once the marker arrives, Shutdown is queued at the
+    // shard.
+    controller_ep.send_to(vec![ProcessId::learner(0)], MessageKind::Control, shutdown());
+    controller_ep.send_to(vec![ProcessId::explorer(0)], MessageKind::Control, shutdown());
+    marker_ep.recv().expect("marker delivered");
+    release_tx.send(()).unwrap();
+
+    let outcome = shard_thread.join().unwrap();
+    assert_eq!(
+        outcome.train_sessions, 1,
+        "the shard must read the queued Shutdown before its next session, not after its whole debt"
     );
     broker.shutdown();
 }

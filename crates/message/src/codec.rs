@@ -24,6 +24,9 @@ pub enum DecodeError {
     LengthOverflow { declared: usize, remaining: usize },
     /// String data was not valid UTF-8.
     InvalidUtf8,
+    /// The fields decoded, but they break the value's own invariants (for
+    /// example, columns whose lengths disagree).
+    Inconsistent(&'static str),
 }
 
 impl fmt::Display for DecodeError {
@@ -36,6 +39,7 @@ impl fmt::Display for DecodeError {
                 write!(f, "declared length {declared} exceeds remaining {remaining} bytes")
             }
             DecodeError::InvalidUtf8 => write!(f, "string data was not valid UTF-8"),
+            DecodeError::Inconsistent(what) => write!(f, "inconsistent value: {what}"),
         }
     }
 }

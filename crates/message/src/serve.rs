@@ -154,13 +154,63 @@ mod tests {
         }
         .to_bytes();
         let flag = bytes.len() - 2; // [..., shed_flag, actions_len]
-        bytes[flag] = 9;
-        assert!(InferReply::from_bytes(&bytes).is_err());
+        for t in 2..=255u8 {
+            bytes[flag] = t;
+            assert_eq!(InferReply::from_bytes(&bytes), Err(DecodeError::InvalidTag(t)));
+        }
     }
 
     #[test]
     fn truncated_request_is_an_error() {
         let bytes = InferRequest { request_id: 1, rows: 4, observations: vec![0.0; 8] }.to_bytes();
         assert!(InferRequest::from_bytes(&bytes[..bytes.len() - 3]).is_err());
+    }
+
+    /// Hands `check` every proper prefix of `bytes` and every variant with
+    /// one byte set to any value, which covers every single-bit flip and
+    /// every value of each tag and length byte. Passing means no input
+    /// panicked.
+    fn hostile_sweep(bytes: &[u8], mut check: impl FnMut(&[u8])) {
+        for cut in 0..bytes.len() {
+            check(&bytes[..cut]);
+        }
+        let mut buf = bytes.to_vec();
+        for i in 0..buf.len() {
+            let orig = buf[i];
+            for value in 0..=255u8 {
+                buf[i] = value;
+                check(&buf);
+            }
+            buf[i] = orig;
+        }
+    }
+
+    #[test]
+    fn hostile_requests_never_panic() {
+        let req = InferRequest { request_id: 0x0102_0304_0506_0708, rows: 3, observations: vec![0.25; 12] };
+        let bytes = req.to_bytes();
+        let mut staged = InferRequest::default();
+        hostile_sweep(&bytes, |b| {
+            let owned = InferRequest::from_bytes(b);
+            let in_place = staged.decode_into(&mut Reader::new(b));
+            // Both decode paths agree on what they accept.
+            assert_eq!(owned.is_ok(), in_place.is_ok());
+            if b.len() < bytes.len() {
+                assert!(owned.is_err(), "a {}-byte prefix decoded", b.len());
+            }
+        });
+    }
+
+    #[test]
+    fn hostile_replies_never_panic() {
+        for (shed, actions) in [(false, vec![4u32, 0, 8, 1]), (true, vec![])] {
+            let bytes = InferReply { request_id: 77, param_version: 3, shed, actions }.to_bytes();
+            hostile_sweep(&bytes, |b| {
+                let decoded = InferReply::from_bytes(b);
+                if b.len() < bytes.len() {
+                    assert!(decoded.is_err(), "a {}-byte prefix decoded", b.len());
+                }
+            });
+        }
     }
 }

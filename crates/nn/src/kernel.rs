@@ -291,9 +291,10 @@ mod fma {
     }
 }
 
-/// True when the explicit FMA microkernels are usable on this machine.
+/// True when the explicit FMA microkernels are usable on this machine. The
+/// optimizer's AVX2 build ([`crate::optim`]) sits behind the same gate.
 #[inline]
-fn fma_available() -> bool {
+pub(crate) fn fma_available() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
         fma::available()

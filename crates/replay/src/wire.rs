@@ -164,8 +164,11 @@ impl Encode for SampleView {
 }
 
 impl Decode for SampleView {
+    /// Decodes a view and checks its columns agree, so
+    /// [`SampleView::replay_into`] never indexes out of bounds on a corrupt
+    /// frame.
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(SampleView {
+        let view = SampleView {
             obs_dim: u32::decode(r)?,
             observations: Vec::<f32>::decode(r)?,
             next_observations: Vec::<f32>::decode(r)?,
@@ -174,7 +177,17 @@ impl Decode for SampleView {
             rewards: Vec::<f32>::decode(r)?,
             dones: Vec::<u8>::decode(r)?,
             weights: Vec::<f32>::decode(r)?,
-        })
+        };
+        let n = view.len();
+        let planes = n.checked_mul(view.obs_dim as usize);
+        if planes != Some(view.observations.len()) || view.next_observations.len() != view.observations.len() {
+            return Err(DecodeError::Inconsistent("observation planes are not n × obs_dim"));
+        }
+        let per_pick = [view.has_next.len(), view.rewards.len(), view.dones.len()];
+        if per_pick.iter().any(|&len| len != n) || !(view.weights.is_empty() || view.weights.len() == n) {
+            return Err(DecodeError::Inconsistent("per-transition columns differ in length"));
+        }
+        Ok(view)
     }
 }
 
@@ -293,6 +306,69 @@ mod tests {
         let mut echo = SampleView::with_obs_dim(plane.obs_dim());
         view.replay_into(&mut echo);
         assert_eq!(echo, view);
+    }
+
+    /// Decodes every proper prefix of `bytes` (each must be an error) and
+    /// every value of every byte, which covers every single-bit flip and
+    /// every value of each tag and length byte. Each value that decodes goes
+    /// to `check`. Passing means no input panicked.
+    fn hostile_sweep<T: Decode>(bytes: &[u8], mut check: impl FnMut(T)) {
+        for cut in 0..bytes.len() {
+            assert!(T::from_bytes(&bytes[..cut]).is_err(), "a {cut}-byte prefix decoded");
+        }
+        let mut buf = bytes.to_vec();
+        for i in 0..buf.len() {
+            let orig = buf[i];
+            for value in 0..=255u8 {
+                buf[i] = value;
+                if let Ok(v) = T::from_bytes(&buf) {
+                    check(v);
+                }
+            }
+            buf[i] = orig;
+        }
+    }
+
+    #[test]
+    fn hostile_sample_requests_never_panic() {
+        let req = SampleRequest { n: 32, prioritized: true, beta: 0.4, seed: 0x0102_0304_0506_0708 };
+        let bytes = req.to_bytes();
+        hostile_sweep::<SampleRequest>(&bytes, |_| {});
+        // The `prioritized` flag is the one tag byte: only 0 and 1 decode.
+        let mut buf = bytes.clone();
+        for t in 0..=255u8 {
+            buf[4] = t;
+            let decoded = SampleRequest::from_bytes(&buf);
+            assert_eq!(decoded.is_ok(), t <= 1, "prioritized tag {t}: {decoded:?}");
+        }
+    }
+
+    #[test]
+    fn hostile_sample_views_never_panic() {
+        for prioritized in [false, true] {
+            let plane = filled_plane(prioritized);
+            let view = answer(&plane, &SampleRequest { n: 6, prioritized, beta: 0.4, seed: 5 });
+            // Whatever decodes must replay without indexing out of bounds.
+            hostile_sweep::<SampleView>(&view.to_bytes(), |v| {
+                let mut echo = SampleView::with_obs_dim(v.obs_dim as usize);
+                v.replay_into(&mut echo);
+                assert_eq!(echo.len(), v.len());
+            });
+        }
+    }
+
+    #[test]
+    fn views_with_disagreeing_columns_are_typed_errors() {
+        let view = answer(&filled_plane(false), &SampleRequest { n: 4, prioritized: false, beta: 0.0, seed: 2 });
+        let mut bad_dim = view.clone();
+        bad_dim.obs_dim = 3;
+        let mut short_rewards = view.clone();
+        short_rewards.rewards.pop();
+        let mut stray_weights = view;
+        stray_weights.weights = vec![1.0];
+        for bad in [bad_dim, short_rewards, stray_weights] {
+            assert!(matches!(SampleView::from_bytes(&bad.to_bytes()), Err(DecodeError::Inconsistent(_))));
+        }
     }
 
     #[test]
